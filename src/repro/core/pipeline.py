@@ -25,6 +25,7 @@ from repro.expr.nodes import (
 from repro.core.aggregation import pull_up_aggregations
 from repro.core.simplify import simplify_outer_joins
 from repro.core.transform import enumerate_plans
+from repro.expr.rewrite import with_children
 from repro.runtime.tracing import span
 
 
@@ -60,7 +61,7 @@ def reorder_pipeline(
     for core_plan in core_plans:
         plan = core_plan
         for wrapper in reversed(stack):
-            plan = _rewrap(wrapper, plan)
+            plan = with_children(wrapper, (plan,))
         plans.append(plan)
     # the as-written shape (lazy aggregation) remains a candidate: when
     # the eager/pushed-up form loses (unselective filters), the
@@ -70,9 +71,3 @@ def reorder_pipeline(
     if normalized not in plans:
         plans.append(normalized)
     return plans
-
-
-def _rewrap(wrapper: Expr, child: Expr) -> Expr:
-    from dataclasses import replace as dc_replace
-
-    return dc_replace(wrapper, child=child)

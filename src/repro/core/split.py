@@ -37,7 +37,9 @@ from __future__ import annotations
 
 from repro.errors import OptimizerInternalError
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from repro.expr.nodes import (
     BaseRel,
@@ -69,11 +71,27 @@ class DeferResult:
     groups: tuple[frozenset[str], ...]
 
 
-def _attrs_of_bases(root: Expr, bases: frozenset[str]) -> frozenset[str]:
+def leaf_attrs(root: Expr) -> dict[str, frozenset[str]]:
+    """Each base relation of ``root`` mapped to its attributes.
+
+    Base names are unique within a tree (join operands never share a
+    relation), so this map resolves any preserved group's attributes
+    without re-walking the tree.
+    """
+    return {
+        node.name: node.attr_set
+        for node in root.walk()
+        if isinstance(node, BaseRel)
+    }
+
+
+def group_attrs(
+    leaves: dict[str, frozenset[str]], group: frozenset[str]
+) -> frozenset[str]:
+    """The attributes of the base relations named in ``group``."""
     out: set[str] = set()
-    for node in root.walk():
-        if isinstance(node, BaseRel) and node.name in bases:
-            out.update(node.all_attrs)
+    for name in group:
+        out.update(leaves.get(name, ()))
     return frozenset(out)
 
 
@@ -93,7 +111,7 @@ def defer_conjunct(root: Expr, path: Path, conjunct: Predicate) -> DeferResult:
         raise SplitError(f"{conjunct} is not a conjunct of the join predicate")
     remaining = make_conjunction([a for a in atoms if a != conjunct])
 
-    new_target = dc_replace(target, predicate=remaining)
+    new_target = Join(target.kind, target.left, target.right, remaining)
     new_root = replace_at(root, path, new_target)
 
     groups = _walk_preserved(root, path, target)
@@ -108,11 +126,8 @@ def _walk_preserved(
     root: Expr, path: Path, target: Join
 ) -> list[frozenset[str]]:
     """The preserved relation groups for deferring a conjunct of ``target``."""
-    groups: list[frozenset[str]] = []
-    if target.kind.preserves_left:
-        groups.append(target.left.base_names)
-    if target.kind.preserves_right:
-        groups.append(target.right.base_names)
+    groups = initial_groups(target)
+    attrs_of = partial(group_attrs, leaf_attrs(root))
 
     lineage = ancestors_of(root, path)
     # innermost ancestor first
@@ -123,47 +138,64 @@ def _walk_preserved(
                 f"ancestor {type(ancestor).__name__} above the split is not a "
                 "join; defer within the join core"
             )
-        x_index = path[depth]
-        x_side = ancestor.children()[x_index]
-        other = ancestor.children()[1 - x_index]
-        other_bases = other.base_names
-        x_attrs = frozenset(x_side.all_attrs)
-        q_x = ancestor.predicate.attrs & x_attrs
-        x_preserved = (
-            ancestor.kind.preserves_left
-            if x_index == 0
-            else ancestor.kind.preserves_right
-        )
-        other_preserved = (
-            ancestor.kind.preserves_right
-            if x_index == 0
-            else ancestor.kind.preserves_left
-        )
+        groups = step_groups(groups, ancestor, path[depth], attrs_of)
+    return dedupe_groups(groups)
 
-        updated: list[frozenset[str]] = []
-        extended = False
-        for group in groups:
-            group_attrs = _attrs_of_bases(root, group)
-            if q_x <= group_attrs:
-                updated.append(group | other_bases)
-                extended = True
-            elif x_preserved:
-                updated.append(group)
-            # otherwise the padding dies at this ancestor: drop the group
-        if other_preserved and not extended:
-            # a group extended across the ancestor already preserves the
-            # other side's tuples (their padding pairs with the group's
-            # parts), so the far-side group is only added when no
-            # extension subsumes it -- validated empirically
-            updated.append(other_bases)
-        groups = updated
-        _check_disjoint(groups)
-    return _dedupe(groups)
+
+def initial_groups(target: Join) -> list[frozenset[str]]:
+    """The ``pres(h)`` seeds: the preserved operand sides of ``target``."""
+    groups: list[frozenset[str]] = []
+    if target.kind.preserves_left:
+        groups.append(target.left.base_names)
+    if target.kind.preserves_right:
+        groups.append(target.right.base_names)
+    return groups
+
+
+def step_groups(
+    groups: list[frozenset[str]],
+    ancestor: Join,
+    x_index: int,
+    attrs_of: Callable[[frozenset[str]], frozenset[str]],
+) -> list[frozenset[str]]:
+    """Walk the preserved ``groups`` one ancestor join up.
+
+    The split node lies on side ``x_index`` of ``ancestor``;
+    ``attrs_of`` maps a group to its relations' attributes.  Raises
+    :class:`SplitError` when the walked groups overlap.
+    """
+    kind = ancestor.kind
+    x_side = ancestor.left if x_index == 0 else ancestor.right
+    other = ancestor.right if x_index == 0 else ancestor.left
+    other_bases = other.base_names
+    q_x = ancestor.predicate.attrs & x_side.attr_set
+    if x_index == 0:
+        x_preserved, other_preserved = kind.preserves_left, kind.preserves_right
+    else:
+        x_preserved, other_preserved = kind.preserves_right, kind.preserves_left
+
+    updated: list[frozenset[str]] = []
+    extended = False
+    for group in groups:
+        if q_x <= attrs_of(group):
+            updated.append(group | other_bases)
+            extended = True
+        elif x_preserved:
+            updated.append(group)
+        # otherwise the padding dies at this ancestor: drop the group
+    if other_preserved and not extended:
+        # a group extended across the ancestor already preserves the
+        # other side's tuples (their padding pairs with the group's
+        # parts), so the far-side group is only added when no
+        # extension subsumes it -- validated empirically
+        updated.append(other_bases)
+    _check_disjoint(updated)
+    return updated
 
 
 def _check_disjoint(groups: list[frozenset[str]]) -> None:
     seen: set[str] = set()
-    for group in _dedupe(groups):
+    for group in dedupe_groups(groups):
         if group & seen:
             raise SplitError(
                 "preserved groups overlap after walking the ancestors; "
@@ -172,7 +204,7 @@ def _check_disjoint(groups: list[frozenset[str]]) -> None:
         seen |= group
 
 
-def _dedupe(groups: list[frozenset[str]]) -> list[frozenset[str]]:
+def dedupe_groups(groups: list[frozenset[str]]) -> list[frozenset[str]]:
     out: list[frozenset[str]] = []
     for group in groups:
         if group not in out:

@@ -22,11 +22,20 @@ rewrite rules:
 Every plan in the closure is equivalent to the seed; the rules were
 validated on randomized databases and the property tests re-check
 closure-wide equivalence.
+
+The closure walk is memoized per subtree.  Each distinct subtree's
+one-step rule rewrites, and its deferrable conjuncts with their
+Theorem 1 preserved groups walked up to it, are computed once per
+enumeration; a plan's neighbours are its root's own rewrites plus its
+children's memoized ones re-spined under the root.  The output is the
+path-walk closure exactly -- the same plans in the same order -- which
+``tests/core/test_transform.py`` checks against a reference copy of
+that walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime -> core)
@@ -37,6 +46,7 @@ from repro.expr.nodes import (
     GenSelect,
     Join,
     JoinKind,
+    Preserved,
     preserved_for,
 )
 from repro.expr.predicates import (
@@ -45,8 +55,15 @@ from repro.expr.predicates import (
     conjuncts_of,
     make_conjunction,
 )
-from repro.expr.rewrite import iter_nodes, replace_at
-from repro.core.split import SplitError, defer_conjunct
+from repro.expr.rewrite import respine, with_children
+from repro.core.split import (
+    SplitError,
+    dedupe_groups,
+    group_attrs,
+    initial_groups,
+    leaf_attrs,
+    step_groups,
+)
 from repro.runtime.tracing import add_counter
 
 
@@ -312,49 +329,6 @@ LOCAL_RULES = (
 )
 
 
-def _local_variants(expr: Expr, rules=LOCAL_RULES) -> Iterator[Expr]:
-    for path, node in iter_nodes(expr):
-        for rule in rules:
-            for replacement in rule(node):
-                yield replace_at(expr, path, replacement)
-
-
-def _defer_variants(expr: Expr) -> Iterator[Expr]:
-    """Defer one conjunct of any join whose predicate has several atoms.
-
-    The deferral rewrites the join core into a standalone-equivalent
-    GenSelect-over-core, so it applies transparently below any unary
-    wrapper chain (GenSelect stack, GroupBy, padding adjustment) by
-    congruence.
-    """
-    from repro.expr.rewrite import with_children
-
-    # locate the join core below the root's unary wrapper chain
-    wrappers: list[Expr] = []
-    core = expr
-    while not isinstance(core, Join) and len(core.children()) == 1:
-        wrappers.append(core)
-        core = core.children()[0]
-    if not isinstance(core, Join):
-        return
-    for path, node in iter_nodes(core):
-        if not isinstance(node, Join):
-            continue
-        atoms = conjuncts_of(node.predicate)
-        if len(atoms) < 2:
-            continue
-        # only walk through pure-join lineages
-        for atom in atoms:
-            try:
-                result = defer_conjunct(core, path, atom)
-            except SplitError:
-                continue
-            rebuilt: Expr = result.expr
-            for wrapper in reversed(wrappers):
-                rebuilt = with_children(wrapper, (rebuilt,))
-            yield rebuilt
-
-
 GS_FREE_RULES = tuple(
     rule
     for rule in LOCAL_RULES
@@ -368,6 +342,130 @@ GS_FREE_RULES = tuple(
 )
 
 
+#: One memoized conjunct deferral of a subtree ``s``: the conjunct, the
+#: Theorem 1 preserved groups walked up to ``s`` (undeduplicated, as
+#: :func:`repro.core.split.step_groups` keeps them), and ``s`` rebuilt
+#: without the conjunct.
+_Deferral = tuple[Predicate, list[frozenset[str]], Expr]
+
+
+class _Closure:
+    """The per-enumeration memos behind :func:`enumerate_plans`.
+
+    Both are keyed by subtree.  ``rewrites[s]`` holds every one-step
+    rule rewrite of ``s`` in path pre-order: the rules applied at ``s``
+    itself, then each child's rewrites re-spined under ``s``.
+    ``deferrals[s]`` holds, in the same pre-order, every conjunct a
+    multi-conjunct join inside ``s`` can give up, each with its
+    preserved groups walked up to ``s``.  A closure plan differs from
+    its neighbours in one spine, so every other subtree hits the memos
+    and a plan's expansion costs one node per variant instead of a
+    rule pass over every node.  Only subtrees below a plan's join core
+    are stored: the root, its unary wrapper chain and the core are
+    expanded once, with their plan.  The memos die with the
+    enumeration.
+    """
+
+    def __init__(self, seed: Expr, rules: tuple) -> None:
+        self.rules = rules
+        self.rewrites: dict[Expr, list[Expr]] = {}
+        self.deferrals: dict[Expr, list[_Deferral]] = {}
+        self.rule_applications = 0
+        # every plan has the seed's leaves: the rules only regroup them
+        self._attrs_of = partial(group_attrs, leaf_attrs(seed))
+
+    def variants(self, expr: Expr, with_deferral: bool) -> list[Expr]:
+        """Every one-step neighbour of the plan ``expr``, in rule order."""
+        out = self._rewrites_of(expr, store=False)
+        if with_deferral:
+            out.extend(self._deferred(expr))
+        return out
+
+    def _rewrites_of(self, node: Expr, store: bool = True) -> list[Expr]:
+        found = self.rewrites.get(node)
+        if found is not None:
+            return found if store else list(found)
+        out: list[Expr] = []
+        for rule in self.rules:
+            out.extend(rule(node))
+        self.rule_applications += len(self.rules)
+        children = node.children()
+        if len(children) == 1:
+            # a unary chain at the root leads to the plan's join core,
+            # which, like the root, is expanded with its plan only
+            child_rewrites = self._rewrites_of(children[0], store)
+            out.extend(respine(node, (v,)) for v in child_rewrites)
+        elif children:
+            left, right = children
+            out.extend(respine(node, (v, right)) for v in self._rewrites_of(left))
+            out.extend(respine(node, (left, v)) for v in self._rewrites_of(right))
+        if store:
+            self.rewrites[node] = out
+        return out
+
+    def _deferrals_of(self, node: Expr, store: bool = True) -> list[_Deferral]:
+        if not isinstance(node, Join):
+            return []  # a non-join ancestor blocks every deferral below it
+        found = self.deferrals.get(node)
+        if found is not None:
+            return found
+        out: list[_Deferral] = []
+        atoms = conjuncts_of(node.predicate)
+        if len(atoms) >= 2:
+            add_counter("defer_conjunct_calls")
+            own_groups = initial_groups(node)
+            for atom in atoms:
+                remaining = make_conjunction([a for a in atoms if a != atom])
+                relaxed = Join(node.kind, node.left, node.right, remaining)
+                out.append((atom, own_groups, relaxed))
+        left, right = node.left, node.right
+        for x_index, side in ((0, left), (1, right)):
+            for atom, groups, new_side in self._deferrals_of(side):
+                try:
+                    walked = step_groups(groups, node, x_index, self._attrs_of)
+                except SplitError:
+                    continue
+                pair = (new_side, right) if x_index == 0 else (left, new_side)
+                out.append((atom, walked, respine(node, pair)))
+        if store:
+            self.deferrals[node] = out
+        return out
+
+    def _deferred(self, expr: Expr) -> list[Expr]:
+        """Defer one conjunct of any join whose predicate has several atoms.
+
+        The deferral rewrites the join core into a standalone-equivalent
+        GenSelect-over-core, so it applies transparently below any unary
+        wrapper chain (GenSelect stack, GroupBy, padding adjustment) by
+        congruence.
+        """
+        wrappers: list[Expr] = []
+        core = expr
+        while not isinstance(core, Join) and len(core.children()) == 1:
+            wrappers.append(core)
+            core = core.children()[0]
+        if not isinstance(core, Join):
+            return []
+        out: list[Expr] = []
+        preserved: dict[frozenset[str], Preserved] = {}
+        for atom, groups, new_core in self._deferrals_of(core, store=False):
+            resolved = []
+            for group in dedupe_groups(groups):
+                pres = preserved.get(group)
+                if pres is None:
+                    # a deferral changes one join predicate, never an
+                    # output attribute or its owners: resolve on the core
+                    pres = preserved[group] = preserved_for(
+                        core, group, label="".join(sorted(group))
+                    )
+                resolved.append(pres)
+            plan: Expr = GenSelect(new_core, atom, tuple(resolved))
+            for wrapper in reversed(wrappers):
+                plan = with_children(wrapper, (plan,))
+            out.append(plan)
+        return out
+
+
 def enumerate_plans(
     seed: Expr,
     max_plans: int = 20000,
@@ -375,7 +473,7 @@ def enumerate_plans(
     with_gs: bool = True,
     budget: "Budget | None" = None,
 ) -> list[Expr]:
-    """The closure of ``seed`` under the rewrite rules (BFS, deduped).
+    """The closure of ``seed`` under the rewrite rules (DFS, deduped).
 
     Every returned expression is equivalent to ``seed``.  The closure
     is capped at ``max_plans`` expansions as a safety net; the cap is
@@ -384,7 +482,7 @@ def enumerate_plans(
     join) -- the pre-paper baseline where complex predicates freeze
     the order.
 
-    ``budget`` adds *hard* limits on top of the soft cap: each BFS
+    ``budget`` adds *hard* limits on top of the soft cap: each
     expansion is a cooperative checkpoint (deadline check), and every
     distinct plan admitted to the closure charges the plan counter, so
     an exploding closure raises :class:`repro.errors.PlanBudgetExceeded`
@@ -393,7 +491,7 @@ def enumerate_plans(
     """
     if not with_gs:
         with_deferral = False
-    rules = LOCAL_RULES if with_gs else GS_FREE_RULES
+    closure = _Closure(seed, LOCAL_RULES if with_gs else GS_FREE_RULES)
     if budget is not None:
         budget.charge_plans(1, "enumerate_plans")
     seen: dict[Expr, None] = {seed: None}
@@ -404,22 +502,22 @@ def enumerate_plans(
         expansions += 1
         if budget is not None:
             budget.check_deadline("enumerate_plans")
-        variants: list[Expr] = list(_local_variants(expr, rules))
-        if with_deferral:
-            variants.extend(_defer_variants(expr))
-        for variant in variants:
+        for variant in closure.variants(expr, with_deferral):
             if variant not in seen:
                 if len(seen) >= max_plans:
-                    return _accounted(seen, expansions)
+                    return _accounted(seen, expansions, closure)
                 if budget is not None:
                     budget.charge_plans(1, "enumerate_plans")
                 seen[variant] = None
                 frontier.append(variant)
-    return _accounted(seen, expansions)
+    return _accounted(seen, expansions, closure)
 
 
-def _accounted(seen: dict[Expr, None], expansions: int) -> list[Expr]:
+def _accounted(
+    seen: dict[Expr, None], expansions: int, closure: _Closure
+) -> list[Expr]:
     """Stamp the enumeration counters on the enclosing trace span."""
     add_counter("plans_admitted", len(seen))
     add_counter("frontier_expansions", expansions)
+    add_counter("rule_applications", closure.rule_applications)
     return list(seen)

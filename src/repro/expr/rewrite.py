@@ -71,7 +71,7 @@ def with_children(node: Expr, children: tuple[Expr, ...]) -> Expr:
     raise ExprError(f"cannot rebuild {type(node).__name__}")
 
 
-def _respine(node: Expr, children: tuple[Expr, ...]) -> Expr:
+def respine(node: Expr, children: tuple[Expr, ...]) -> Expr:
     """``with_children`` minus re-validation, for ancestor rebuilds.
 
     ``replace_at`` swaps one subtree and rebuilds the spine above it.
@@ -116,7 +116,7 @@ def replace_at(root: Expr, path: Path, new_node: Expr) -> Expr:
     children = list(root.children())
     index = path[0]
     children[index] = replace_at(children[index], path[1:], new_node)
-    return _respine(root, tuple(children))
+    return respine(root, tuple(children))
 
 
 def iter_nodes(root: Expr) -> Iterator[tuple[Path, Expr]]:

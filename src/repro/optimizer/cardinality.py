@@ -170,9 +170,7 @@ def _estimate(expr: Expr, stats: Statistics, memo) -> Estimate:
             rows += max(0.0, left.rows - inner_rows)
         if expr.kind.preserves_right:
             rows += max(0.0, right.rows - inner_rows)
-        out = Estimate(rows, merged, both.freq)
-        out.distinct = {a: min(d, rows) if rows else 0.0 for a, d in merged.items()}
-        return out
+        return Estimate(rows, _capped(merged, rows), both.freq)
 
     if isinstance(expr, UnionAll):
         left = estimate(expr.left, stats, memo)
@@ -221,8 +219,7 @@ def _estimate(expr: Expr, stats: Statistics, memo) -> Estimate:
             for attr in sorted(pres.virtual):
                 group_rows = max(group_rows, child.distinct_of(attr))
             rows += group_rows * (1.0 - sel)
-        out = _scaled(child, rows)
-        return out
+        return _scaled(child, rows)
 
     if isinstance(expr, AdjustPadding):
         child = estimate(expr.child, stats, memo)
@@ -241,8 +238,18 @@ def _estimate(expr: Expr, stats: Statistics, memo) -> Estimate:
 
 def _scaled(child: Estimate, rows: float) -> Estimate:
     rows = max(0.0, rows)
-    distinct = {a: min(d, rows) if rows else 0.0 for a, d in child.distinct.items()}
-    return Estimate(rows, distinct, dict(child.freq))
+    return Estimate(rows, _capped(child.distinct, rows), child.freq)
+
+
+def _capped(distinct: dict[str, float], rows: float) -> dict[str, float]:
+    """Distinct counts capped at ``rows`` (all zero when ``rows`` is).
+
+    Estimates are immutable once built, so when no count exceeds
+    ``rows`` the map itself is shared instead of copied.
+    """
+    if rows and (not distinct or max(distinct.values()) <= rows):
+        return distinct
+    return {a: min(d, rows) if rows else 0.0 for a, d in distinct.items()}
 
 
 # A hard-zero selectivity would zero the cost of every plan containing

@@ -2,9 +2,14 @@
 
 The paper's Section 4 embeds the enumeration in a System-R style
 dynamic program; our enumerator materializes the transformation
-closure (memoized, so each distinct plan is generated once) and costs
-each plan -- equivalent output, simpler to audit, and small enough at
-paper-sized queries (hundreds to a few thousand plans).
+closure and costs each plan -- equivalent output, simpler to audit,
+and small enough at paper-sized queries (hundreds to a few thousand
+plans).  Both halves work per distinct subtree rather than per plan:
+the closure memoizes each subtree's rewrites and conjunct deferrals
+(:mod:`repro.core.transform`), and one :class:`CostModel` memoizes
+each subtree's estimate and cost, so a plan that differs from its
+neighbours in one spine costs about one spine of new work.  Ties in
+cost go to the earlier plan in closure order.
 """
 
 from __future__ import annotations

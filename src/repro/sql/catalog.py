@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.errors import UserInputError
 from repro.sql.ast import CreateViewStmt, SelectStmt
 
 
@@ -26,9 +27,23 @@ class SqlCatalog:
         self._tables[key] = tuple(columns)
 
     def add_view(self, statement: CreateViewStmt) -> None:
+        """Register a view; defining the same view again is a no-op.
+
+        Raises:
+            repro.errors.UserInputError: The name is a table, or a view
+                with a different definition.
+        """
         key = statement.name.lower()
-        if key in self._tables or key in self._views:
-            raise ValueError(f"duplicate catalog entry {statement.name!r}")
+        if key in self._tables:
+            raise UserInputError(
+                f"duplicate catalog entry {statement.name!r}: "
+                "a table of that name exists"
+            )
+        known = self._views.get(key)
+        if known is not None and known != statement.query:
+            raise UserInputError(
+                f"duplicate view {statement.name!r} with a different definition"
+            )
         self._views[key] = statement.query
 
     def is_table(self, name: str) -> bool:

@@ -17,6 +17,8 @@ from __future__ import annotations
 from repro.errors import UserInputError
 
 import itertools
+from contextvars import ContextVar
+from typing import Iterator
 
 from repro.expr.nodes import (
     BaseRel,
@@ -96,7 +98,11 @@ _AGG_FUNCTIONS = {
     "avg": AggregateFunction.AVG,
 }
 
-_fresh = itertools.count()
+#: Suffixes for generated names (GroupBy labels, unnamed aggregates).
+#: The outermost :func:`translate` call owns a fresh counter, so the
+#: same statement always translates to the same expression -- which is
+#: what lets the plan cache recognize a repeated aggregate query.
+_fresh: ContextVar[Iterator[int] | None] = ContextVar("_fresh", default=None)
 
 
 class Scope:
@@ -175,7 +181,15 @@ def translate(
 
     ``_expanding`` tracks the views currently being expanded so view
     cycles fail with a clear error instead of infinite recursion.
+    Generated names are numbered per outermost call, so translating a
+    statement twice gives equal expressions.
     """
+    if _fresh.get() is None:
+        token = _fresh.set(itertools.count())
+        try:
+            return translate(statement, catalog, _expanding)
+        finally:
+            _fresh.reset(token)
     if isinstance(statement, UnionStmt):
         return _translate_union(statement, catalog, _expanding)
     scope = Scope()
@@ -520,7 +534,7 @@ def _translate_group_by(
     for item in statement.items:
         if isinstance(item.expression, AggregateCall):
             call = item.expression
-            output = item.alias or f"{call.function}_{next(_fresh)}"
+            output = item.alias or f"{call.function}_{next(_fresh.get())}"
             arg = None
             if call.argument is not None:
                 arg = scope.resolve(call.argument)
@@ -548,7 +562,7 @@ def _translate_group_by(
             raise SqlTranslationError(
                 f"unsupported SELECT item {item.expression!r} under GROUP BY"
             )
-    grouped = GroupBy(tree, tuple(keys), tuple(specs), f"q{next(_fresh)}")
+    grouped = GroupBy(tree, tuple(keys), tuple(specs), f"q{next(_fresh.get())}")
     return grouped, columns
 
 

@@ -58,3 +58,27 @@ class TestPipeline:
             want = evaluate(q, db)
             for plan in plans[:40]:
                 assert evaluate(plan, db).same_content(want), to_algebra(plan)
+
+
+class TestEnumerationWorkGuard:
+    def test_rule_applications_stay_per_distinct_subtree(self):
+        """The x14 n=5 chain: 1472 plans, rules applied once per subtree.
+
+        A rule pass over every node of every plan would need at least
+        1472 plans x 9 nodes x 10 rules = 132,480 rule applications;
+        the subtree memo needs 26,310.  The bound leaves headroom for
+        rule changes but fails long before per-plan work comes back.
+        """
+        from repro.core.transform import LOCAL_RULES
+        from repro.runtime.tracing import Tracer, trace_scope
+        from repro.workloads.topologies import chain_query
+
+        tracer = Tracer()
+        with trace_scope(tracer):
+            plans = reorder_pipeline(chain_query(5, complex_every=3), max_plans=2000)
+        counters = tracer.find("pipeline.enumerate").counters
+        assert len(plans) == counters["plans_admitted"] == 1472
+        per_plan_floor = 1472 * 9 * len(LOCAL_RULES)
+        assert counters["rule_applications"] <= 32_000 < per_plan_floor
+        # deferrals are computed once per distinct multi-conjunct subtree
+        assert counters["defer_conjunct_calls"] < counters["plans_admitted"]

@@ -9,7 +9,10 @@ import random
 
 import pytest
 
+from repro.core.split import SplitError, defer_conjunct
 from repro.core.transform import (
+    GS_FREE_RULES,
+    LOCAL_RULES,
     absorb_generalized_join,
     assoc_inner,
     commute,
@@ -31,8 +34,11 @@ from repro.expr import (
     left_outer,
     to_algebra,
 )
-from repro.expr.predicates import eq, make_conjunction
-from repro.workloads.random_db import random_database
+from repro.errors import PlanBudgetExceeded
+from repro.expr.predicates import conjuncts_of, eq, make_conjunction
+from repro.expr.rewrite import iter_nodes, replace_at, with_children
+from repro.runtime import Budget
+from repro.workloads.random_db import random_database, random_join_query
 
 R1 = BaseRel("r1", ("r1_a0", "r1_a1"))
 R2 = BaseRel("r2", ("r2_a0", "r2_a1"))
@@ -272,3 +278,157 @@ def _q4_database(rng):
     for name, attrs in schemas.items():
         db.add(name, Relation.base(name, attrs, rows(attrs, rng.randint(0, 3))))
     return db
+
+
+# ---- the ordered-closure oracle ----
+#
+# The path-based closure the memoized enumerator replaced: every rule
+# at every node of every plan, every conjunct deferral walked from its
+# join up to the core's root.  Kept here as the reference that
+# ``enumerate_plans`` must match plan for plan, order included.
+
+
+def _reference_variants(expr, rules, with_deferral):
+    for path, node in iter_nodes(expr):
+        for rule in rules:
+            for replacement in rule(node):
+                yield replace_at(expr, path, replacement)
+    if not with_deferral:
+        return
+    wrappers = []
+    core = expr
+    while not isinstance(core, Join) and len(core.children()) == 1:
+        wrappers.append(core)
+        core = core.children()[0]
+    if not isinstance(core, Join):
+        return
+    for path, node in iter_nodes(core):
+        if not isinstance(node, Join):
+            continue
+        atoms = conjuncts_of(node.predicate)
+        if len(atoms) < 2:
+            continue
+        for atom in atoms:
+            try:
+                rebuilt = defer_conjunct(core, path, atom).expr
+            except SplitError:
+                continue
+            for wrapper in reversed(wrappers):
+                rebuilt = with_children(wrapper, (rebuilt,))
+            yield rebuilt
+
+
+def reference_closure(seed, max_plans=20000, with_gs=True, budget=None):
+    rules = LOCAL_RULES if with_gs else GS_FREE_RULES
+    if budget is not None:
+        budget.charge_plans(1, "reference")
+    seen = {seed: None}
+    frontier = [seed]
+    while frontier:
+        expr = frontier.pop()
+        for variant in list(_reference_variants(expr, rules, with_gs)):
+            if variant not in seen:
+                if len(seen) >= max_plans:
+                    return list(seen)
+                if budget is not None:
+                    budget.charge_plans(1, "reference")
+                seen[variant] = None
+                frontier.append(variant)
+    return list(seen)
+
+
+def _paper_class_seeds(count, seed=2024):
+    """Seeded 3-4 relation outer-join cores, most with complex predicates."""
+    rng = random.Random(seed)
+    return [
+        random_join_query(
+            rng, 3 + i % 2, outer_probability=0.6, complex_probability=0.7
+        )
+        for i in range(count)
+    ]
+
+
+def _paper_examples():
+    from tests.hypergraph.test_hypergraph import q4_expression
+
+    from repro.workloads.topologies import chain_query
+
+    return [
+        left_outer(R1, inner(R2, R3, p23), p12),
+        full_outer(R1, inner(R2, R3, p23), p12),
+        left_outer(left_outer(R1, R2, p12), R3, make_conjunction([p13, p23])),
+        inner(inner(R1, R2, p12), R3, make_conjunction([p13, p23])),
+        q4_expression(),
+        chain_query(4, complex_every=2),
+    ]
+
+
+class TestOrderedClosureOracle:
+    @pytest.mark.parametrize("index", range(6))
+    def test_paper_examples(self, index):
+        seed = _paper_examples()[index]
+        assert enumerate_plans(seed) == reference_closure(seed)
+        assert enumerate_plans(seed, with_gs=False) == reference_closure(
+            seed, with_gs=False
+        )
+
+    def test_seeded_paper_class_queries(self):
+        seeds = _paper_class_seeds(200)
+        complex_seeds = [
+            s
+            for s in seeds
+            if any(
+                isinstance(n, Join) and len(conjuncts_of(n.predicate)) > 1
+                for n in s.walk()
+            )
+        ]
+        assert len(complex_seeds) >= 100
+        for seed in seeds:
+            got = enumerate_plans(seed, max_plans=400)
+            want = reference_closure(seed, max_plans=400)
+            assert got == want, to_algebra(seed)
+
+    def test_wrapped_cores(self):
+        """A plan rooted in a GenSelect stack defers below the wrappers."""
+        checked = 0
+        for seed in _paper_class_seeds(40, seed=7):
+            joins = [
+                (path, node)
+                for path, node in iter_nodes(seed)
+                if isinstance(node, Join) and len(conjuncts_of(node.predicate)) > 1
+            ]
+            if not joins:
+                continue
+            path, node = joins[0]
+            try:
+                wrapped = defer_conjunct(
+                    seed, path, conjuncts_of(node.predicate)[0]
+                ).expr
+            except SplitError:
+                continue
+            assert enumerate_plans(wrapped, max_plans=2000) == reference_closure(
+                wrapped, max_plans=2000
+            )
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("cap", [1, 2, 7, 50, 333])
+    def test_max_plans_truncation(self, cap):
+        from tests.hypergraph.test_hypergraph import q4_expression
+
+        seed = q4_expression()
+        got = enumerate_plans(seed, max_plans=cap)
+        assert len(got) == cap
+        assert got == reference_closure(seed, max_plans=cap)
+
+    @pytest.mark.parametrize("cap", [1, 5, 60, 400])
+    def test_plan_budget_trips_at_the_same_count(self, cap):
+        from tests.hypergraph.test_hypergraph import q4_expression
+
+        seed = q4_expression()
+        ours, theirs = Budget(max_plans=cap), Budget(max_plans=cap)
+        with pytest.raises(PlanBudgetExceeded):
+            enumerate_plans(seed, budget=ours)
+        with pytest.raises(PlanBudgetExceeded):
+            reference_closure(seed, budget=theirs)
+        assert ours.plans == theirs.plans == cap + 1

@@ -88,10 +88,13 @@ class TestScriptErrors:
             translate(stmts[1], catalog)
 
     def test_duplicate_view_registration(self):
+        from repro.errors import UserInputError
         from repro.sql import parse_statements
 
         catalog = SqlCatalog({"t": ("a",)})
         stmts = parse_statements("create view v as select a from t;")
         catalog.add_view(stmts[0])
-        with pytest.raises(ValueError, match="duplicate"):
-            catalog.add_view(stmts[0])
+        catalog.add_view(stmts[0])  # an identical redefinition is a no-op
+        (other,) = parse_statements("create view v as select a as b from t;")
+        with pytest.raises(UserInputError, match="duplicate view"):
+            catalog.add_view(other)
