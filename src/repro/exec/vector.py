@@ -54,14 +54,17 @@ from repro.expr.orderprops import (
 )
 from repro.expr.predicates import Predicate, TRUE
 from repro.exec.vector_predicates import compile_predicate
-from repro.relalg.columnar import ColumnarRelation, concat_columns
+from repro.relalg.columnar import (
+    ColumnarRelation,
+    ColumnarResult,
+    concat_columns,
+)
 from repro.runtime.faults import fault_point
 from repro.runtime.feedback import monitor_lookup, monitor_record
 from repro.runtime.metrics import record_engine_counter
 from repro.runtime.tracing import add_counter, span, trace_op
 from repro.relalg.nulls import NULL
 from repro.relalg.ordering import value_key
-from repro.relalg.relation import Relation
 from repro.relalg.schema import Schema
 
 #: Left-block size for the non-equi (nested loop) fallback: bounds the
@@ -69,16 +72,19 @@ from repro.relalg.schema import Schema
 _NESTED_LOOP_BLOCK = 1024
 
 
-def execute(expr: Expr, db: Database, budget=None) -> Relation:
+def execute(expr: Expr, db: Database, budget=None) -> ColumnarResult:
     """Execute ``expr`` against ``db`` batch-at-a-time.
 
-    Returns a row-store :class:`Relation` (the engines' common output
-    currency); all intermediate results stay columnar.  ``budget``
-    (a :class:`repro.runtime.Budget`) is ticked once per operator
-    batch, mirroring the row engines' per-operator checkpoints.
+    Returns a :class:`repro.relalg.columnar.ColumnarResult`: a
+    :class:`Relation` (the engines' common output currency) that keeps
+    the compacted result columns and builds its rows only on first
+    read, so an answer that only crosses a pipe or feeds another
+    columnar consumer never becomes rows.  All intermediate results
+    stay columnar.  ``budget`` (a :class:`repro.runtime.Budget`) is
+    ticked once per operator batch, mirroring the row engines'
+    per-operator checkpoints.
     """
-    out = _execute(expr, db, budget)
-    return out.to_relation()
+    return ColumnarResult(_execute(expr, db, budget))
 
 
 def _tick(budget, out: ColumnarRelation, where: str) -> ColumnarRelation:

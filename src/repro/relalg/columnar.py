@@ -100,8 +100,11 @@ class ColumnarRelation:
         The first call pays one pass over the rows; later calls for
         the same relation object return the cached columnar form
         (see ``_TRANSPOSE_CACHE`` -- safe because both sides are
-        immutable).
+        immutable).  A :class:`ColumnarResult` hands back the columns
+        it holds.
         """
+        if isinstance(relation, ColumnarResult):
+            return relation.columnar
         cached = _TRANSPOSE_CACHE.get(relation)
         if cached is not None:
             return cached
@@ -264,6 +267,42 @@ class ColumnarRelation:
         cols = [self.gather(a) for a in attrs]
         rows = [Row(zip(attrs, values)) for values in zip(*cols)] if attrs else []
         return Relation(self._real, self._virtual, rows)
+
+
+class ColumnarResult(Relation):
+    """A :class:`Relation` whose rows stay columns until first read.
+
+    The vector engine's answer.  ``len()`` and every consumer that goes
+    through :meth:`ColumnarRelation.from_relation` use the held columns
+    directly; ``rows`` transposes once, through
+    :meth:`ColumnarRelation.to_relation`, on first access.  Pickling
+    ships the columns (the slim ``ColumnarRelation.__getstate__``),
+    never the rows, so an answer crossing a process pipe costs a few
+    list pickles instead of one reduce call per row.
+
+    Concurrent first reads may each transpose; every thread still sees
+    an equal tuple, and one of them is kept.
+    """
+
+    __slots__ = ("columnar",)
+
+    def __init__(self, columnar: ColumnarRelation) -> None:
+        super().__init__(columnar.real, columnar.virtual, ())
+        self._rows = None
+        self.columnar = columnar.compact()
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self.columnar.to_relation().rows
+        return rows
+
+    def __len__(self) -> int:
+        return len(self.columnar)
+
+    def __reduce__(self):
+        return (ColumnarResult, (self.columnar,))
 
 
 def concat_columns(parts: Sequence[Mapping[str, list]], attrs: Sequence[str]) -> dict[str, list]:

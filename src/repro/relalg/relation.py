@@ -127,7 +127,8 @@ class Relation:
 
     @property
     def rows(self) -> tuple[Row, ...]:
-        # Subclasses may materialize lazily (repro.relalg.pages); the
+        # Subclasses may materialize lazily (repro.relalg.pages,
+        # repro.relalg.columnar.ColumnarResult); the
         # derivation helpers below therefore go through this property,
         # never through ``_rows`` directly.
         return self._rows

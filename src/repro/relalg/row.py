@@ -4,57 +4,55 @@ A :class:`Row` maps attribute names (real and virtual alike) to
 values.  Rows are hashable so extensions can be manipulated as bags
 and sets; the NULL singleton compares equal to itself structurally,
 which is exactly what the set difference in Definition 2.1 needs.
+
+``Row`` is a frozen ``dict`` subclass: construction
+(``Row(zip(attrs, values))``) and lookup (``row[attr]``) are the
+builtin dict's C paths, and a row is one object, not a wrapper around
+one.  Every mutator raises ``TypeError``.  Because it *is* a dict, a
+row compares equal to a plain ``dict`` holding the same items.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, NoReturn
 
 from repro.relalg.nulls import NULL
 
 
-class Row(Mapping[str, Any]):
+class Row(dict):
     """An immutable mapping from attribute name to value."""
 
-    __slots__ = ("_values", "_hash")
+    __slots__ = ("_hash",)
 
-    def __init__(self, values: Mapping[str, Any] | Iterable[tuple[str, Any]]) -> None:
-        data = dict(values)
-        object.__setattr__(self, "_values", data)
-        object.__setattr__(self, "_hash", None)
+    def _immutable(self, *args: Any, **kwargs: Any) -> NoReturn:
+        raise TypeError("Row is immutable")
 
-    def __getitem__(self, name: str) -> Any:
-        return self._values[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
+    __setitem__ = __delitem__ = _immutable
+    clear = pop = popitem = setdefault = update = __ior__ = _immutable
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash(frozenset(self._values.items()))
-            )
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.items()))
+            return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Row):
-            return self._values == other._values
-        return NotImplemented
+    def __reduce__(self):
+        # the default dict-subclass pickle refills the row through
+        # __setitem__, which is disabled; rebuild from a plain dict
+        return (Row, (dict(self),))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self._values.items())
+        inner = ", ".join(f"{k}={v!r}" for k, v in self.items())
         return f"Row({inner})"
 
     def project(self, attrs: Iterable[str]) -> "Row":
         """Row restricted to ``attrs`` (all must be present)."""
-        return Row({a: self._values[a] for a in attrs})
+        return Row({a: self[a] for a in attrs})
 
     def merge(self, other: "Row") -> "Row":
         """Concatenate two rows with disjoint attributes."""
-        merged = dict(self._values)
+        merged = dict(self)
         for name, value in other.items():
             if name in merged:
                 raise ValueError(f"rows overlap on attribute {name!r}")
@@ -63,16 +61,16 @@ class Row(Mapping[str, Any]):
 
     def padded(self, attrs: Iterable[str]) -> "Row":
         """Row extended with NULL for every attribute in ``attrs`` not present."""
-        data = dict(self._values)
+        data = dict(self)
         for name in attrs:
             data.setdefault(name, NULL)
         return Row(data)
 
     def replace(self, **updates: Any) -> "Row":
-        data = dict(self._values)
+        data = dict(self)
         data.update(updates)
         return Row(data)
 
     def values_tuple(self, attrs: Iterable[str]) -> tuple[Any, ...]:
         """Values of ``attrs`` in the given order (hashable grouping key)."""
-        return tuple(self._values[a] for a in attrs)
+        return tuple(self[a] for a in attrs)

@@ -137,3 +137,101 @@ class TestRowValidationModes:
             assert set_full_row_validation(previous) is False
         finally:
             set_full_row_validation(previous)
+
+
+class TestFrozenDictRow:
+    """``Row`` is an immutable ``dict`` subclass: C-speed construction
+    and lookup, every mutator disabled, a cached order-independent
+    hash, and a pickle that rebuilds from a plain dict."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda r: r.__setitem__("a", 2),
+            lambda r: r.__delitem__("a"),
+            lambda r: r.clear(),
+            lambda r: r.pop("a"),
+            lambda r: r.popitem(),
+            lambda r: r.setdefault("z", 1),
+            lambda r: r.update({"a": 2}),
+            lambda r: r.__ior__({"a": 2}),
+        ],
+        ids=[
+            "setitem", "delitem", "clear", "pop", "popitem",
+            "setdefault", "update", "ior",
+        ],
+    )
+    def test_every_mutator_raises(self, mutate):
+        r = Row({"a": 1, "b": NULL})
+        with pytest.raises(TypeError, match="immutable"):
+            mutate(r)
+        assert r == Row({"a": 1, "b": NULL})
+
+    def test_augmented_or_raises(self):
+        r = Row({"a": 1})
+        with pytest.raises(TypeError):
+            r |= {"a": 2}
+        assert r["a"] == 1
+
+    def test_no_instance_dict(self):
+        r = Row({"a": 1})
+        with pytest.raises(AttributeError):
+            r.extra = 1
+
+    def test_hash_independent_of_insertion_order(self):
+        a = Row([("x", 1), ("y", NULL), ("z", ("t", 3))])
+        b = Row([("z", ("t", 3)), ("x", 1), ("y", NULL)])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert hash(a) == hash(frozenset(a.items()))
+        assert len({a, b}) == 1
+
+    def test_hash_is_cached(self):
+        r = Row({"a": 1})
+        assert hash(r) == hash(r)
+        assert r._hash == hash(r)
+
+    def test_pickle_round_trip_keeps_null_identity(self):
+        import pickle
+
+        r = Row({"a": 1, "b": NULL, "#r": ("r", 0)})
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(r, protocol=protocol))
+            assert type(clone) is Row
+            assert clone == r
+            assert hash(clone) == hash(r)
+            assert clone["b"] is NULL
+
+    def test_copies_stay_rows(self):
+        import copy
+
+        r = Row({"a": 1, "b": NULL})
+        for clone in (copy.copy(r), copy.deepcopy(r)):
+            assert type(clone) is Row
+            assert clone == r
+            assert clone["b"] is NULL
+
+    def test_derivations_unchanged(self):
+        r = Row({"a": 1, "b": 2})
+        assert type(r.project(["b"])) is Row
+        assert list(r.project(["b", "a"])) == ["b", "a"]
+        merged = r.merge(Row({"c": 3}))
+        assert type(merged) is Row
+        assert list(merged.items()) == [("a", 1), ("b", 2), ("c", 3)]
+        padded = r.padded(["c", "a"])
+        assert list(padded.items()) == [("a", 1), ("b", 2), ("c", NULL)]
+        replaced = r.replace(b=5)
+        assert type(replaced) is Row
+        assert list(replaced.items()) == [("a", 1), ("b", 5)]
+        assert r == Row({"a": 1, "b": 2})  # derivations never mutate
+        assert r.values_tuple(["b", "a"]) == (2, 1)
+
+    def test_equal_to_plain_dict(self):
+        # the one semantic change of the dict-backed row: a Row and a
+        # plain dict with the same items compare equal
+        assert Row({"a": 1, "b": NULL}) == {"a": 1, "b": NULL}
+        assert {"b": NULL, "a": 1} == Row({"a": 1, "b": NULL})
+        assert Row({"a": 1}) != {"a": 2}
+
+    def test_repr(self):
+        assert repr(Row({"a": 1, "b": NULL})) == "Row(a=1, b=NULL)"
